@@ -11,12 +11,9 @@
 //! Usage: `parallel_speedup [max_states] [thread-list]`, e.g.
 //! `parallel_speedup 5000000 1,2,4`.
 
-use gc_bench::{
-    bounded_config, check_config_opts, print_table, report_json, write_bench_record, CheckReport,
-    Suite,
-};
+use gc_bench::{bounded_config, check_config_opts, print_table, report_json, CheckReport, Suite};
 use gc_model::ModelConfig;
-use gc_trace::Json;
+use gc_trace::{write_bench_record, Json};
 use mc::Strategy;
 
 /// Upper bound, in nanoseconds, on one runtime-disabled `gc_trace::emit`

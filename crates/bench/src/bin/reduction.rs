@@ -327,7 +327,7 @@ fn main() {
         ],
         Some(&registry),
     );
-    match gc_bench::write_bench_record("reduction", &record) {
+    match gc_trace::write_bench_record("reduction", &record) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_reduction.json: {e}"),
     }

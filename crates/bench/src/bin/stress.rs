@@ -28,8 +28,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use gc_bench::write_bench_record;
-use gc_trace::Json;
+use gc_trace::{write_bench_record, Json};
 use otf_gc::{Collector, GcConfig, HeapLayout};
 
 fn churn(collector: &Collector, mutators: usize, ops: usize) {

@@ -31,8 +31,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use gc_bench::write_bench_record;
-use gc_trace::{Json, Liveness, MetricsServer, Registry};
+use gc_trace::{write_bench_record, Json, Liveness, MetricsServer, Registry};
 use otf_gc::{Collector, FaultPlan, Gc, GcConfig, HeapLayout, Mutator};
 
 /// One mutator's churn loop: grow a shared list off `anchor`, cut it loose

@@ -129,7 +129,7 @@ pub fn bench_function(name: &str, mut f: impl FnMut(&mut Bencher)) -> Measuremen
 /// Drains every measurement this thread's [`bench_function`] calls have
 /// recorded into a `gc-bench/v1` record and writes it to
 /// `experiments_output/BENCH_<bench>.json` (via
-/// [`crate::write_bench_record`]). Failures are warnings, not errors —
+/// [`gc_trace::write_bench_record`]). Failures are warnings, not errors —
 /// the table already printed.
 pub fn write_session_record(bench: &str, params: &[(&str, Json)]) {
     let measurements: Vec<Json> = SESSION.with(|s| {
@@ -144,7 +144,7 @@ pub fn write_session_record(bench: &str, params: &[(&str, Json)]) {
         &[("measurements", Json::from(measurements))],
         None,
     );
-    match crate::write_bench_record(bench, &record) {
+    match gc_trace::write_bench_record(bench, &record) {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write BENCH_{bench}.json: {e}"),
     }

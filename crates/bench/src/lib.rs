@@ -168,22 +168,6 @@ pub fn report_json(report: &CheckReport) -> gc_trace::Json {
         .set("elapsed_s", report.elapsed.as_secs_f64())
 }
 
-/// Writes a [`gc_trace::bench_record`] document to
-/// `experiments_output/BENCH_<bench>.json` at the *workspace root*
-/// (creating the directory), and returns the path. Delegates to
-/// [`gc_trace::write_bench_record`], which anchors at the repository root
-/// (walking up from `CARGO_MANIFEST_DIR` — `cargo bench` and `cargo test`
-/// set the working directory to the package root, so a cwd-relative path
-/// would scatter records across `crates/*`) and rejects records that do
-/// not conform to the `gc-bench/v1` schema. Bench bins treat failures
-/// here as warnings, not errors — the measurement already happened.
-pub fn write_bench_record(
-    bench: &str,
-    record: &gc_trace::Json,
-) -> std::io::Result<std::path::PathBuf> {
-    gc_trace::write_bench_record(bench, record)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

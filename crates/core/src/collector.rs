@@ -1014,10 +1014,22 @@ mod tests {
         assert!(c.heap_occupancy() < 0.5, "trigger drained the garbage");
     }
 
+    /// An 8-slot heap with the handshake watchdog armed at `ms`.
+    fn watchdog_cfg(ms: u64) -> GcConfig {
+        GcConfig::builder()
+            .capacity(8)
+            .max_fields(1)
+            .handshake_timeout(Duration::from_millis(ms))
+            .build()
+    }
+
     #[test]
     fn stop_swallows_worker_panic() {
-        let cfg =
-            GcConfig::new(8, 1).with_chaos(FaultPlan::new(1).with_collector_panic_at_cycle(0));
+        let cfg = GcConfig::builder()
+            .capacity(8)
+            .max_fields(1)
+            .chaos(FaultPlan::new(1).with_collector_panic_at_cycle(0))
+            .build();
         let c = Collector::new(cfg);
         c.start();
         // The worker dies at the start of its first cycle; wait for it.
@@ -1033,7 +1045,7 @@ mod tests {
 
     #[test]
     fn watchdog_times_out_on_a_stalled_live_mutator() {
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watchdog_cfg(25);
         let c = Collector::new(cfg);
         let m = c.register_mutator();
         let id = m.id();
@@ -1123,7 +1135,7 @@ mod tests {
 
     #[test]
     fn watchdog_evicts_a_beatless_mutator_and_completes() {
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watchdog_cfg(25);
         let c = Collector::new(cfg);
         let m = c.register_mutator();
         // Leak the handle: the mutator never beats, never acks, never
@@ -1145,7 +1157,7 @@ mod tests {
         // it while it holds roots would silently drop them from the
         // reachability snapshot: the watchdog must report it stalled
         // instead.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watchdog_cfg(25);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let _a = m.alloc(1).unwrap();
@@ -1167,7 +1179,7 @@ mod tests {
         // "dead" thread then wakes up, the first root-creating operation
         // through the revoked handle must fail stop — the collector no
         // longer scans it, so letting the root land would be unsound.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(25));
+        let cfg = watchdog_cfg(25);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let done = AtomicBool::new(false);
@@ -1189,7 +1201,7 @@ mod tests {
     fn timed_out_cycle_drops_staged_segments_safely() {
         // A cycle that aborts with grey work in the staged channel must not
         // leave dangling links for a later sweep to trip over.
-        let cfg = GcConfig::new(8, 1).with_handshake_timeout(Duration::from_millis(20));
+        let cfg = watchdog_cfg(20);
         let c = Collector::new(cfg);
         let mut m = c.register_mutator();
         let a = m.alloc(1).unwrap();

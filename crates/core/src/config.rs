@@ -23,8 +23,8 @@
 //! **direct field mutation is deprecated in favour of the builder**: the
 //! builder validates cross-field invariants (segment geometry, handle index
 //! space) at [`GcConfigBuilder::build`], which ad-hoc mutation silently
-//! skips. [`GcConfig::new`] and the `with_*` helpers remain as shorthands
-//! and route through the same validation.
+//! skips. [`GcConfig::new`] remains as a shorthand for the defaults and
+//! routes through the same validation.
 
 use std::error::Error;
 use std::fmt;
@@ -311,48 +311,6 @@ impl GcConfig {
             }
         }
         Ok(self)
-    }
-
-    /// Enables the §4 allocation-pool extension with the given batch size
-    /// (slab layout only).
-    #[must_use]
-    pub fn with_alloc_pool(mut self, slots: usize) -> Self {
-        self.alloc_pool = slots;
-        self
-    }
-
-    /// Arms the handshake watchdog with the given timeout.
-    #[must_use]
-    pub fn with_handshake_timeout(mut self, timeout: Duration) -> Self {
-        self.handshake_timeout = Some(timeout);
-        self
-    }
-
-    /// Sets the emergency-collection retry budget for a full heap.
-    #[must_use]
-    pub fn with_alloc_retries(mut self, retries: usize) -> Self {
-        self.alloc_retries = retries;
-        self
-    }
-
-    /// Installs a fault-injection plan.
-    #[must_use]
-    pub fn with_chaos(mut self, plan: FaultPlan) -> Self {
-        self.chaos = plan;
-        self
-    }
-
-    /// Selects the heap layout, validating its geometry against the
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent segment geometry (same validation as
-    /// [`GcConfigBuilder::build`]).
-    #[must_use]
-    pub fn with_layout(mut self, layout: HeapLayout) -> Self {
-        self.layout = layout;
-        self.validated().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -38,7 +38,7 @@
 //!
 //! The runtime is also built to *degrade*, not hang or corrupt, under
 //! hostile schedules: a handshake watchdog
-//! ([`GcConfig::with_handshake_timeout`]) aborts cycles stalled on silent
+//! ([`GcConfigBuilder::handshake_timeout`]) aborts cycles stalled on silent
 //! mutators (and soundly evicts provably-dead, root-less ones), a full
 //! heap triggers emergency collection from the allocating thread before
 //! reporting a structured [`AllocError::Exhausted`], and a deterministic

@@ -748,7 +748,13 @@ mod tests {
 
     #[test]
     fn pooled_allocation_round_trips() {
-        let c = Collector::new(GcConfig::new(16, 1).with_alloc_pool(4));
+        let c = Collector::new(
+            GcConfig::builder()
+                .capacity(16)
+                .max_fields(1)
+                .alloc_pool(4)
+                .build(),
+        );
         let mut m = c.register_mutator();
         let objs: Vec<_> = (0..10).map(|_| m.alloc(1).unwrap()).collect();
         assert_eq!(c.live_objects(), 10);
@@ -820,7 +826,13 @@ mod tests {
 
     #[test]
     fn exhausted_heap_reports_structured_error() {
-        let c = Collector::new(GcConfig::new(4, 1).with_alloc_retries(2));
+        let c = Collector::new(
+            GcConfig::builder()
+                .capacity(4)
+                .max_fields(1)
+                .emergency_retries(2)
+                .build(),
+        );
         let mut m = c.register_mutator();
         let _keep: Vec<_> = (0..4).map(|_| m.alloc(1).unwrap()).collect();
         match m.alloc(1) {
@@ -878,7 +890,13 @@ mod tests {
         // ever run, which is exactly the unbounded-stall scenario the
         // deadline bounds. Without the deadline, `alloc` would park here
         // forever (the retry budget only advances on completed cycles).
-        let c = Collector::new(GcConfig::new(4, 1).with_alloc_retries(100));
+        let c = Collector::new(
+            GcConfig::builder()
+                .capacity(4)
+                .max_fields(1)
+                .emergency_retries(100)
+                .build(),
+        );
         let mut m = c.register_mutator();
         let _keep: Vec<_> = (0..4).map(|_| m.alloc(1).unwrap()).collect();
         let shared = Arc::clone(&m.shared);
@@ -901,7 +919,13 @@ mod tests {
 
     #[test]
     fn alloc_retries_zero_fails_fast() {
-        let c = Collector::new(GcConfig::new(2, 1).with_alloc_retries(0));
+        let c = Collector::new(
+            GcConfig::builder()
+                .capacity(2)
+                .max_fields(1)
+                .emergency_retries(0)
+                .build(),
+        );
         let mut m = c.register_mutator();
         m.alloc(0).unwrap();
         m.alloc(0).unwrap();

@@ -19,9 +19,9 @@
 //!   built on a small dependency-free JSON value.
 //! * **Live scrape & regression gate** ([`scrape`], [`diff`], [`bench`]):
 //!   a std-only Prometheus endpoint over a live [`Registry`]
-//!   (`/metrics`, `/metrics.json`, `/healthz`), a trace-shape differ
-//!   with configurable thresholds behind `gc-trace diff`, and the
-//!   schema-checked `BENCH_*.json` writer/validator (DESIGN.md §2.14).
+//!   (`/metrics`, `/metrics.json`, `/healthz`), the JSONL trace-shape
+//!   extractor and differ behind `gc-trace diff`, and the schema-checked
+//!   `BENCH_*.json` writer/validator (DESIGN.md §2.14).
 //!
 //! The crate is deliberately leaf-level: `otf-gc`, `mc` and the bench
 //! rigs depend on it (optionally), never the reverse, so the event

@@ -22,11 +22,13 @@
 //! Subcommands:
 //!
 //! * `gc-trace diff BASE CURRENT [--json FILE] [--shape-only]
-//!   [--latency-rel F] [--count-rel F] [--mix-abs F] [--min-count N]` —
-//!   extracts the shape of two recorded traces (`trace.jsonl` or
-//!   `trace.json`) and compares them (see `gc_trace::diff`). Prints the
-//!   human table, optionally writes the machine-readable verdict, and
-//!   exits 0 (clean) / 1 (regressed) / 2 (unreadable input).
+//!   [--count-rel F]` — extracts the shape of two recorded `trace.jsonl`
+//!   files and compares them (see `gc_trace::diff`): counts two-sided
+//!   within `--count-rel` (default 0.5), families that vanish always,
+//!   latency quantiles one-sided at +15% unless `--shape-only`. Prints
+//!   the human table, optionally writes the `gc-trace-diff/v1` verdict,
+//!   and exits 0 (clean) / 1 (regressed) / 2 (usage error or unreadable
+//!   input, a Chrome `trace.json` included).
 //! * `gc-trace check-bench FILE...` — validates `BENCH_*.json` files
 //!   against the `gc-bench/v1` schema; exits nonzero on any violation.
 //!
@@ -36,7 +38,8 @@
 //! its own output.
 //!
 //! Usage: `gc-trace [--out DIR] [--mutators K] [--ops N] [--check FILE]
-//! [--metrics-addr ADDR]`
+//! [--metrics-addr ADDR]`. Every usage error (an unknown flag, a missing
+//! value, an unparsable number) exits 2 with a message.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -61,49 +64,39 @@ struct Args {
     metrics_addr: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Args {
-    let mut out = PathBuf::from("experiments_output");
-    let mut mutators = 3usize;
-    let mut ops = 12_000usize;
-    let mut check = None;
-    let mut metrics_addr = None;
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
+/// The value following the flag at `args[i]`.
+fn value(args: &[String], i: usize) -> Result<&str, String> {
+    args.get(i + 1)
+        .map(String::as_str)
+        .ok_or_else(|| format!("{} needs a value", args[i]))
+}
+
+/// The value following the flag at `args[i]`, parsed as a number.
+fn number<T: std::str::FromStr>(args: &[String], i: usize) -> Result<T, String> {
+    let v = value(args, i)?;
+    v.parse()
+        .map_err(|_| format!("{} expects a number, got `{v}`", args[i]))
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        out: PathBuf::from("experiments_output"),
+        mutators: 3,
+        ops: 12_000,
+        check: None,
+        metrics_addr: None,
+    };
+    for i in (0..args.len()).step_by(2) {
         match args[i].as_str() {
-            "--out" => {
-                out = PathBuf::from(need(i));
-                i += 2;
-            }
-            "--mutators" => {
-                mutators = need(i).parse().expect("mutators must be a usize");
-                i += 2;
-            }
-            "--ops" => {
-                ops = need(i).parse().expect("ops must be a usize");
-                i += 2;
-            }
-            "--check" => {
-                check = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
-            "--metrics-addr" => {
-                metrics_addr = Some(need(i).clone());
-                i += 2;
-            }
-            other => panic!("unknown argument: {other} (see the module docs for usage)"),
+            "--out" => parsed.out = PathBuf::from(value(args, i)?),
+            "--mutators" => parsed.mutators = number(args, i)?,
+            "--ops" => parsed.ops = number(args, i)?,
+            "--check" => parsed.check = Some(PathBuf::from(value(args, i)?)),
+            "--metrics-addr" => parsed.metrics_addr = Some(value(args, i)?.to_owned()),
+            other => return Err(format!("unknown argument: {other}")),
         }
     }
-    Args {
-        out,
-        mutators,
-        ops,
-        check,
-        metrics_addr,
-    }
+    Ok(parsed)
 }
 
 /// `--check` mode: parse + validate an existing Chrome trace document.
@@ -141,58 +134,52 @@ fn check_file(path: &Path) -> ExitCode {
     }
 }
 
-/// `diff` subcommand: compare two recorded traces, exit 0/1/2.
-fn run_diff(args: &[String]) -> ExitCode {
+type DiffArgs = (Thresholds, Option<PathBuf>, [PathBuf; 2]);
+
+fn parse_diff_args(args: &[String]) -> Result<DiffArgs, String> {
     let mut thr = Thresholds::default();
-    let mut json_out: Option<PathBuf> = None;
-    let mut files: Vec<PathBuf> = Vec::new();
+    let mut json_out = None;
+    let mut files = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{} needs a value", args[i]))
-        };
         match args[i].as_str() {
-            "--latency-rel" => {
-                thr.latency_rel = need(i).parse().expect("latency-rel must be a float");
-                i += 2;
-            }
             "--count-rel" => {
-                thr.count_rel = need(i).parse().expect("count-rel must be a float");
-                i += 2;
-            }
-            "--mix-abs" => {
-                thr.mix_abs = need(i).parse().expect("mix-abs must be a float");
-                i += 2;
-            }
-            "--min-count" => {
-                thr.min_count = need(i).parse().expect("min-count must be a u64");
-                i += 2;
-            }
-            "--shape-only" => {
-                thr.check_latency = false;
+                thr.count_rel = number(args, i)?;
                 i += 1;
             }
             "--json" => {
-                json_out = Some(PathBuf::from(need(i)));
-                i += 2;
-            }
-            other if other.starts_with("--") => {
-                panic!("unknown diff argument: {other}")
-            }
-            _ => {
-                files.push(PathBuf::from(&args[i]));
+                json_out = Some(PathBuf::from(value(args, i)?));
                 i += 1;
             }
+            "--shape-only" => thr.check_latency = false,
+            other if other.starts_with("--") => {
+                return Err(format!("unknown diff argument: {other}"))
+            }
+            other => files.push(PathBuf::from(other)),
         }
+        i += 1;
     }
-    if files.len() != 2 {
-        eprintln!("usage: gc-trace diff BASE CURRENT [--json FILE] [--shape-only] ...");
-        return ExitCode::from(2);
-    }
+    let files: [PathBuf; 2] = files
+        .try_into()
+        .map_err(|_| "expected exactly two trace files, BASE and CURRENT".to_owned())?;
+    Ok((thr, json_out, files))
+}
+
+/// `diff` subcommand: compare two recorded traces, exit 0/1/2.
+fn run_diff(args: &[String]) -> ExitCode {
+    let (thr, json_out, files) = match parse_diff_args(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("gc-trace diff: {e}");
+            eprintln!(
+                "usage: gc-trace diff BASE CURRENT [--json FILE] [--shape-only] [--count-rel F]"
+            );
+            return ExitCode::from(2);
+        }
+    };
     let load = |path: &Path| -> Result<TraceShape, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        TraceShape::from_text(&text).map_err(|e| format!("{}: {e}", path.display()))
+        TraceShape::from_jsonl(&text).map_err(|e| format!("{}: {e}", path.display()))
     };
     let (base, current) = match (load(&files[0]), load(&files[1])) {
         (Ok(b), Ok(c)) => (b, c),
@@ -396,7 +383,13 @@ fn main() -> ExitCode {
         Some("check-bench") => return run_check_bench(&raw[1..]),
         _ => {}
     }
-    let args = parse_args(&raw);
+    let args = match parse_args(&raw) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("gc-trace: {e} (see the module docs for usage)");
+            return ExitCode::from(2);
+        }
+    };
     if let Some(path) = &args.check {
         return check_file(path);
     }

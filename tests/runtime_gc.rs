@@ -6,14 +6,14 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use relaxing_safely::gc::{
-    ChaosSite, Collector, CycleOutcome, FaultPlan, GcConfig, HeapLayout, Mutator,
+    ChaosSite, Collector, CycleOutcome, FaultPlan, GcConfig, GcConfigBuilder, HeapLayout, Mutator,
 };
 
-/// Builds the test configuration, honouring the `GC_TEST_LAYOUT`
+/// The test configuration builder, honouring the `GC_TEST_LAYOUT`
 /// environment variable (`slab` when unset, `segmented` in the CI layout
 /// matrix) so this whole suite runs under both heap layouts without
 /// duplicating a single test.
-fn cfg(capacity: usize, max_fields: usize) -> GcConfig {
+fn builder(capacity: usize, max_fields: usize) -> GcConfigBuilder {
     let layout = match std::env::var("GC_TEST_LAYOUT").as_deref() {
         Ok("segmented") => HeapLayout::segmented_default(capacity),
         _ => HeapLayout::Slab,
@@ -22,7 +22,10 @@ fn cfg(capacity: usize, max_fields: usize) -> GcConfig {
         .capacity(capacity)
         .max_fields(max_fields)
         .layout(layout)
-        .build()
+}
+
+fn cfg(capacity: usize, max_fields: usize) -> GcConfig {
+    builder(capacity, max_fields).build()
 }
 
 /// Run `f(mutator)` while the collector executes exactly `cycles` cycles.
@@ -223,7 +226,7 @@ fn chaos_storms_leave_the_heap_coherent() {
         .with_handshake_delay(2_000)
         .with_cas_lost(2_000)
         .with_slow_transfer(2_000);
-    let collector = Collector::new(cfg(128, 2).with_chaos(plan));
+    let collector = Collector::new(builder(128, 2).chaos(plan).build());
     let mut m = collector.register_mutator();
     let anchor = m.alloc(2).unwrap();
     collector.start();
@@ -261,9 +264,10 @@ fn mutator_silent_for_three_generations_never_hangs_collection() {
     // outcome — TimedOut aborts while the silence lasts (the mutator keeps
     // beating, so it is never evicted), Completed once it lifts.
     let plan = FaultPlan::new(7).with_silence(10_000, 3); // every generation re-silences
-    let config = cfg(32, 1)
-        .with_handshake_timeout(Duration::from_millis(30))
-        .with_chaos(plan);
+    let config = builder(32, 1)
+        .handshake_timeout(Duration::from_millis(30))
+        .chaos(plan)
+        .build();
     let collector = Collector::new(config);
     let mut m = collector.register_mutator();
     let a = m.alloc(1).unwrap();

@@ -2,8 +2,8 @@
 //! §2.14), driving the real binary over really-recorded traces: two
 //! recordings of the same seeded workload diff clean under the CI
 //! thresholds, a seeded latency perturbation trips the default
-//! thresholds, and corrupt input produces a structured nonzero failure
-//! rather than a panic.
+//! thresholds, and corrupt input or a usage error produces a structured
+//! exit 2 rather than a panic.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -54,14 +54,13 @@ fn same_workload_twice_diffs_clean_under_ci_thresholds() {
     let dir = scratch("tworuns");
     let a = record_demo(&dir.join("a"));
     let b = record_demo(&dir.join("b"));
-    // The CI gate's thresholds: shape must persist — every event family
-    // the baseline recorded must still appear, with volumes in the same
-    // order of magnitude. Wall-clock latencies are machine noise across
-    // runs, cycle counts scale with wall time under background
-    // collection, and alloc-color mixes flip with cycle phase on short
-    // runs, so those gates are opened wide here; their precise
-    // sensitivity (the +20% handshake test below, the unit suite in
-    // `gc_trace::diff`) is asserted on controlled inputs instead.
+    // Shape must persist: every event family the first run recorded
+    // must still appear, with volumes in the same order of magnitude.
+    // Wall-clock latencies are machine noise across runs and cycle counts
+    // scale with wall time under background collection, so those gates
+    // are opened wide here; their precise sensitivity (the +20%
+    // handshake test below, the unit suite in `gc_trace::diff`) is
+    // asserted on controlled inputs instead.
     let verdict_path = dir.join("verdict.json");
     let out = diff(&[
         a.to_str().unwrap(),
@@ -69,8 +68,6 @@ fn same_workload_twice_diffs_clean_under_ci_thresholds() {
         "--shape-only",
         "--count-rel",
         "30.0",
-        "--mix-abs",
-        "1.0",
         "--json",
         verdict_path.to_str().unwrap(),
     ]);
@@ -186,5 +183,47 @@ fn corrupt_input_is_a_structured_failure() {
         dir.join("missing.jsonl").to_str().unwrap(),
     ]);
     assert_eq!(out.status.code(), Some(2), "missing input must exit 2");
+
+    // A Chrome trace-event document is not JSONL: diff names it and
+    // exits 2.
+    let chrome = dir.join("trace.json");
+    std::fs::write(&chrome, "{\"traceEvents\":[],\"displayTimeUnit\":\"ns\"}\n").unwrap();
+    let out = diff(&[good.to_str().unwrap(), chrome.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "a Chrome trace must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("Chrome"), "got: {stderr}");
+
+    // Usage errors, in diff and in demo mode: an unknown flag, a missing
+    // value, an unparsable number. Each exits 2 with a message.
+    let good = good.to_str().unwrap();
+    let demo = |args: &[&str]| {
+        Command::new(bin())
+            .args(args)
+            .output()
+            .expect("run gc-trace")
+    };
+    for (out, needle) in [
+        (
+            diff(&[good, good, "--mix-abs", "1.0"]),
+            "unknown diff argument",
+        ),
+        (diff(&[good, good, "--count-rel"]), "needs a value"),
+        (
+            diff(&[good, good, "--count-rel", "wide"]),
+            "expects a number",
+        ),
+        (diff(&[good]), "exactly two"),
+        (demo(&["--frobnicate"]), "unknown argument"),
+        (demo(&["--ops"]), "needs a value"),
+        (demo(&["--mutators", "three"]), "expects a number"),
+    ] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "usage error must exit 2: {stderr}"
+        );
+        assert!(stderr.contains(needle), "expected `{needle}` in: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
